@@ -140,6 +140,8 @@ for doc in README.md docs/*.md; do
     }
   done
 done
+
+# Invariant lane: rebuild the simulator with cycle-level structural
 # checks compiled in and rerun the crates they gate. Any violation
 # panics. (Scoped to these crates: the full integration suite re-runs
 # dataset-scale simulations and is too slow with per-cycle asserts.)

@@ -10,8 +10,8 @@
 use armdse_bench::harness::Harness;
 use armdse_core::engine::Engine;
 use armdse_core::explorer::{
-    acquisition_scores, pareto_ranks, select_top_k, structure_cost, ExploreControl, ExploreOptions,
-    Explorer,
+    acquisition_scores, pareto_ranks, score_pool, select_top_k, structure_cost, ExploreControl,
+    ExploreOptions, Explorer,
 };
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
@@ -69,34 +69,50 @@ fn main() {
     });
 
     // Incremental refit: the per-round retrain cost on an accrued
-    // dataset (rotating half-window), vs variance-aware prediction.
+    // dataset (rotating half-window), serial and at the explore
+    // workload's 2 threads, vs variance-aware prediction.
     let (x, y) = training_data(256);
     let params = ForestParams {
         n_trees: 32,
         ..Default::default()
     };
-    h.bench("forest/partial_refit_256x30", || {
-        let mut f = RandomForest::warm_start(params, 7);
-        f.partial_refit(&x, &y, 0);
-        f.partial_refit(&x, &y, 1);
-        black_box(f.trees().len())
-    });
+    for (id, threads) in [
+        ("forest/partial_refit_256x30", 1),
+        ("forest/partial_refit_256x30_2threads", 2),
+    ] {
+        h.bench(id, || {
+            let mut f = RandomForest::warm_start(params, 7);
+            f.partial_refit(&x, &y, 0, threads);
+            f.partial_refit(&x, &y, 1, threads);
+            black_box(f.trees().len())
+        });
+    }
 
     let mut fitted = RandomForest::warm_start(params, 7);
-    fitted.partial_refit(&x, &y, 0);
+    fitted.partial_refit(&x, &y, 0, 1);
     let probe = ParamSpace::paper().sample_seeded(9001).to_features();
     h.bench_throughput("forest/predict_variance_1000", 1000, || {
         let mut acc = 0.0;
         for _ in 0..1000 {
-            acc += fitted.predict_variance(black_box(&probe));
+            acc += fitted.predict_mean_variance(black_box(&probe)).1;
         }
         black_box(acc)
+    });
+
+    // One acquisition round's surrogate pass over a 20 000-candidate
+    // pool (the explore workload's pool) at its 2 threads.
+    let space = ParamSpace::paper();
+    let candidates: Vec<[f64; 30]> = (0..20_000)
+        .map(|i| space.sample_seeded(i).to_features())
+        .collect();
+    let cand_ids: Vec<u64> = (0..candidates.len() as u64).collect();
+    h.bench_throughput("acquisition/score_pool_20000_2threads", 20_000, || {
+        black_box(score_pool(&fitted, &cand_ids, &candidates, 2))
     });
 
     // End-to-end tiny campaign: acquire → simulate → retrain for a
     // 12-simulation budget from a 60-point pool, artifacts included.
     let engine = Engine::idealized();
-    let space = ParamSpace::paper();
     let dir = std::env::temp_dir().join("armdse_bench_explore");
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
     let opts = ExploreOptions {

@@ -30,7 +30,8 @@
 //! ## Acquisition
 //!
 //! With predictions `p_i` and ensemble standard deviations `s_i` from
-//! [`RandomForest::predict_variance`]:
+//! [`RandomForest::predict_mean_variance`] (one walk of each tree per
+//! candidate; [`score_pool`] scores the pool over `threads` threads):
 //!
 //! ```text
 //! exploit_i = (max_j p_j − p_i) / (max_j p_j − min_j p_j)   // fast is good
@@ -55,15 +56,21 @@
 //! byte-identical at any thread count, [`RandomForest::partial_refit`]
 //! draws per-(round, tree) RNG streams, the acquisition RNG is a
 //! counted xoshiro stream whose 256-bit state is persisted, and
-//! selection breaks ties by candidate id. Exploration state rides in
-//! the checkpoint's v2 `extra` section (`explore.*` keys: options
-//! fingerprint, round, RNG state, selection cursor + history, per-round
-//! model hashes, curve length), so a run paused mid-round via the
-//! observer hook resumes to byte-identical artifacts — the resumed
-//! forest is rebuilt by replaying the refit history against the
-//! recorded model hashes, and a mismatch is an [`ArmdseError::Explore`]
-//! rather than a silently different model. `tests/explorer_resume.rs`
-//! pins the whole guarantee at 1 and 8 threads.
+//! selection breaks ties by candidate id. `threads` fans out the
+//! simulations, the refits and the acquisition scoring, and none of
+//! them depends on it: each refreshed tree is installed at its own
+//! index whichever thread fitted it, and the pool is scored in
+//! contiguous chunks written back in candidate order.
+//!
+//! Exploration state rides in the checkpoint's v2 `extra` section
+//! (`explore.*` keys: options fingerprint, round, RNG state, selection
+//! cursor + history, per-round model hashes, curve length), so a run
+//! paused mid-round via the observer hook resumes to byte-identical
+//! artifacts — the resumed forest is rebuilt by replaying the refit
+//! history against the recorded model hashes, and a mismatch is an
+//! [`ArmdseError::Explore`] rather than a silently different model.
+//! `tests/explorer_resume.rs` pins the whole guarantee at 1, 2 and 8
+//! threads.
 
 use crate::dataset::{DseDataset, Row};
 use crate::engine::{
@@ -116,6 +123,44 @@ pub fn acquisition_scores(preds: &[f64], stds: &[f64], eps: f64) -> Vec<f64> {
             (1.0 - eps) * exploit + eps * explore
         })
         .collect()
+}
+
+/// Forest prediction and ensemble standard deviation of every candidate
+/// in `ids` (indices into `features`), in `ids` order: the `preds` and
+/// `stds` inputs of [`acquisition_scores`]. The pool is scored in
+/// `threads` contiguous chunks — the calling thread takes the first,
+/// one scoped thread each the rest — and each chunk is written straight
+/// into its slice of the output, so the result does not depend on
+/// `threads` and a thread holds no more than one `n_trees` buffer.
+pub fn score_pool(
+    forest: &RandomForest,
+    ids: &[u64],
+    features: &[[f64; 30]],
+    threads: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut preds = vec![0.0; ids.len()];
+    let mut stds = vec![0.0; ids.len()];
+    let score = |((ids, preds), stds): ((&[u64], &mut [f64]), &mut [f64])| {
+        for ((&i, p), sd) in ids.iter().zip(preds).zip(stds) {
+            let (mean, var) = forest.predict_mean_variance(&features[i as usize]);
+            (*p, *sd) = (mean, var.sqrt());
+        }
+    };
+    let span = ids.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks = ids
+        .chunks(span)
+        .zip(preds.chunks_mut(span))
+        .zip(stds.chunks_mut(span));
+    let first = chunks.next();
+    std::thread::scope(|s| {
+        for chunk in chunks {
+            s.spawn(move || score(chunk));
+        }
+        if let Some(chunk) = first {
+            score(chunk);
+        }
+    });
+    (preds, stds)
 }
 
 /// Top-`k` candidate ids by `(score desc, id asc)`. The tiebreak makes
@@ -193,7 +238,8 @@ pub struct ExploreOptions {
     pub batch: usize,
     /// Held-out evaluation points (candidates `pool..pool + holdout`).
     pub holdout: usize,
-    /// Engine worker threads (never changes the output).
+    /// Worker threads for the engine's simulations, the forest refits
+    /// and the acquisition scoring (never changes the output).
     pub threads: usize,
     /// Two-objective mode: steer acquisition toward the predicted
     /// (cycles, structure-cost) Pareto frontier.
@@ -522,20 +568,17 @@ impl<'e> Explorer<'e> {
         features: &[[f64; 30]],
     ) -> Vec<u64> {
         let size = self.opts.round_size(round);
+        let mut taken = vec![false; self.opts.pool];
+        for &i in &state.selected {
+            taken[i as usize] = true;
+        }
         let mut remaining: Vec<u64> = (0..self.opts.pool as u64)
-            .filter(|i| !state.selected.contains(i))
+            .filter(|&i| !taken[i as usize])
             .collect();
         let mut picks = Vec::with_capacity(size);
         if round > 0 {
             let eps = epsilon(&self.opts, round);
-            let preds: Vec<f64> = remaining
-                .iter()
-                .map(|&i| state.forest.predict_one(&features[i as usize]))
-                .collect();
-            let stds: Vec<f64> = remaining
-                .iter()
-                .map(|&i| state.forest.predict_variance(&features[i as usize]).sqrt())
-                .collect();
+            let (preds, stds) = score_pool(&state.forest, &remaining, features, self.opts.threads);
             let scores = if self.opts.pareto {
                 // Rank-based exploit: prefer points predicted to sit on
                 // the (cycles, structure-cost) frontier.
@@ -577,7 +620,10 @@ impl<'e> Explorer<'e> {
             } else {
                 select_top_k(&remaining, &scores, n_greedy)
             };
-            remaining.retain(|i| !greedy.contains(i));
+            for &i in &greedy {
+                taken[i as usize] = true;
+            }
+            remaining.retain(|&i| !taken[i as usize]);
             picks.extend(greedy);
         }
         while picks.len() < size {
@@ -666,13 +712,18 @@ impl<'e> Explorer<'e> {
             x.push_row(&r.features);
             y.push(r.cycles as f64);
         }
-        state.forest.partial_refit(&x, &y, state.round as u64);
+        let threads = self.opts.threads;
+        state
+            .forest
+            .partial_refit(&x, &y, state.round as u64, threads);
         if state.round + 1 == self.opts.rounds() {
             // Finalize: a second consecutive half-refresh on the same
             // data covers the remaining rotating window, so the final
             // surrogate is entirely trained on the complete adaptive
             // dataset (no stale trees in the reported model).
-            state.forest.partial_refit(&x, &y, state.round as u64 + 1);
+            state
+                .forest
+                .partial_refit(&x, &y, state.round as u64 + 1, threads);
         }
         let preds = state.forest.predict(&holdout.0);
         let hash = model_hash(&preds);
@@ -925,10 +976,10 @@ impl<'e> Explorer<'e> {
                 x.push_row(&r.features);
                 y.push(r.cycles as f64);
             }
-            forest.partial_refit(&x, &y, q as u64);
+            forest.partial_refit(&x, &y, q as u64, self.opts.threads);
             if q + 1 == self.opts.rounds() {
                 // Mirror the finalizing refresh of the last round.
-                forest.partial_refit(&x, &y, q as u64 + 1);
+                forest.partial_refit(&x, &y, q as u64 + 1, self.opts.threads);
             }
             let replayed = model_hash(&forest.predict(&holdout.0));
             if replayed != point.model_hash {

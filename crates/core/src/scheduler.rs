@@ -487,7 +487,15 @@ impl JobScheduler {
     /// boundary, and join every runner thread. Idempotent. Queued jobs
     /// stay on disk and reopen as `Paused` (resumable) next start.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Store the flag under the queue lock. A runner checks it
+            // with that lock held and keeps it until `cv.wait` releases
+            // it, so the store cannot land between the check and the
+            // wait, where the wake-up below would be lost and the join
+            // would hang.
+            let _queue = self.shared.queue.lock().expect("queue poisoned");
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         for job in self.shared.store.list() {
             let inner = job.inner.lock().expect("job lock poisoned");
             if inner.state == JobState::Running {
@@ -750,6 +758,19 @@ mod tests {
         assert!(seq(&tie_a) < seq(&tie_b), "ties break by id ascending");
         assert!(seq(&tie_b) < seq(&low), "lowest priority last");
         sched.shutdown();
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn dropping_a_fresh_scheduler_never_hangs() {
+        // Shutdown races the runners' first check of the flag. If the
+        // flag could be stored between a runner's check and its wait,
+        // that runner would miss the wake-up and the join would hang;
+        // a few thousand fresh schedulers hit that window reliably.
+        let store = store("drop_fresh");
+        for _ in 0..5000 {
+            drop(JobScheduler::new(Arc::clone(&store), 2));
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

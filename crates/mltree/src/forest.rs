@@ -16,14 +16,17 @@
 //! pair derives its own RNG stream from the forest seed, so the fitted
 //! ensemble after any sequence of refits is a pure function of
 //! `(seed, params, per-round datasets)` — which is what lets a resumed
-//! exploration replay its model history byte-identically. Acquisition
-//! uses [`RandomForest::predict_variance`], the population variance of
-//! the member trees' predictions (the bagging disagreement signal).
+//! exploration replay its model history byte-identically, whatever the
+//! number of threads the refreshed trees are fitted on. Acquisition uses
+//! [`RandomForest::predict_mean_variance`]: the forest's prediction and
+//! the population variance of the member trees' predictions (the bagging
+//! disagreement signal), from one walk of each tree.
 
 use crate::matrix::Matrix;
 use crate::tree::{DecisionTreeRegressor, TreeParams};
 use crate::Regressor;
 use armdse_rng::{Rng, SeedableRng, SliceRandom, Xoshiro256pp};
+use std::cell::RefCell;
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +91,8 @@ impl RandomForest {
         }
     }
 
-    /// Incrementally refit on the rows accumulated so far.
+    /// Incrementally refit on the rows accumulated so far, fitting the
+    /// refreshed trees over `threads` scoped threads.
     ///
     /// The first call fits every tree; later calls refit a rotating
     /// window of `⌈n_trees / 2⌉` trees on fresh bootstraps of `(x, y)`
@@ -100,10 +104,11 @@ impl RandomForest {
     ///
     /// Determinism: tree `t` refit at round `r` always draws from the
     /// RNG stream seeded by `(forest seed, r, t)` — never from shared
-    /// mutable RNG state — so the ensemble after any refit history is a
-    /// pure function of the per-round datasets. Callers replaying a
-    /// checkpointed exploration rely on this.
-    pub fn partial_refit(&mut self, x: &Matrix, y: &[f64], round: u64) {
+    /// mutable RNG state — and is installed at index `t` whichever
+    /// thread fitted it, so the ensemble after any refit history is a
+    /// pure function of the per-round datasets, at any `threads`.
+    /// Callers replaying a checkpointed exploration rely on this.
+    pub fn partial_refit(&mut self, x: &Matrix, y: &[f64], round: u64, threads: usize) {
         assert_eq!(x.rows(), y.len());
         assert!(x.rows() > 0, "cannot refit on an empty dataset");
         let n_trees = self.params.n_trees;
@@ -117,14 +122,35 @@ impl RandomForest {
             let mut rng = Xoshiro256pp::seed_from_u64(stream);
             fit_tree(x, y, self.params, &mut rng)
         };
+        let refresh: Vec<usize> = if self.trees.is_empty() {
+            (0..n_trees).collect()
+        } else {
+            let half = n_trees.div_ceil(2);
+            (0..half)
+                .map(|k| (round as usize * half + k) % n_trees)
+                .collect()
+        };
+        // Contiguous chunks of the window: the calling thread fits the
+        // first, one scoped thread each fits the rest. Starting no more
+        // threads than needed keeps the allocator from opening an extra
+        // per-thread heap, which shows in the explorer's peak memory.
+        let fit = |ts: &[usize]| ts.iter().map(|&t| refit_one(t)).collect::<Vec<_>>();
+        let mut chunks = refresh.chunks(refresh.len().div_ceil(threads.max(1)));
+        let first = chunks.next().expect("the refit window is never empty");
+        let fitted = std::thread::scope(|s| {
+            let workers: Vec<_> = chunks.map(|ts| s.spawn(move || fit(ts))).collect();
+            let mut fitted = fit(first);
+            for w in workers {
+                fitted.extend(w.join().expect("refit worker panicked"));
+            }
+            fitted
+        });
         if self.trees.is_empty() {
-            self.trees = (0..n_trees).map(refit_one).collect();
-            return;
-        }
-        let refresh = n_trees.div_ceil(2);
-        for k in 0..refresh {
-            let t = (round as usize * refresh + k) % n_trees;
-            self.trees[t] = refit_one(t);
+            self.trees = fitted;
+        } else {
+            for (&t, tree) in refresh.iter().zip(fitted) {
+                self.trees[t] = tree;
+            }
         }
     }
 
@@ -138,29 +164,41 @@ impl RandomForest {
         &self.trees
     }
 
-    /// Population variance of the member trees' predictions at `row` —
-    /// the ensemble-disagreement signal acquisition functions use as
-    /// epistemic uncertainty. Computed with the two-pass (mean, then
-    /// squared-deviation) formula: the one-pass `E[x²] − E[x]²` form
-    /// loses to catastrophic cancellation at cycle-count magnitudes
-    /// (~1e7² summed across trees) and can return small negative values.
-    /// Guaranteed non-negative and finite for finite predictions.
-    pub fn predict_variance(&self, row: &[f64]) -> f64 {
+    /// The forest's prediction at `row` and the population variance of
+    /// the member trees' predictions there — the ensemble-disagreement
+    /// signal acquisition functions use as epistemic uncertainty — from
+    /// one walk of each tree.
+    ///
+    /// The per-tree predictions land in a reusable per-thread buffer of
+    /// `n_trees` values. The mean is their in-order sum ÷ n, so it is
+    /// bit-identical to [`Regressor::predict_one`]. The variance uses the
+    /// two-pass (mean, then squared-deviation) formula: the one-pass
+    /// `E[x²] − E[x]²` form loses to catastrophic cancellation at
+    /// cycle-count magnitudes (~1e7² summed across trees) and can return
+    /// small negative values. Guaranteed non-negative and finite for
+    /// finite predictions.
+    pub fn predict_mean_variance(&self, row: &[f64]) -> (f64, f64) {
+        thread_local! {
+            static PREDS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+        }
         assert!(!self.trees.is_empty(), "variance of an unfitted forest");
-        let n = self.trees.len() as f64;
-        let mean = self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>() / n;
-        let var = self
-            .trees
-            .iter()
-            .map(|t| {
-                let d = t.predict_one(row) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        // The two-pass sum of squares is non-negative by construction;
-        // max(0) documents the invariant against future refactors.
-        var.max(0.0)
+        PREDS.with_borrow_mut(|preds| {
+            preds.clear();
+            preds.extend(self.trees.iter().map(|t| t.predict_one(row)));
+            let n = preds.len() as f64;
+            let mean = preds.iter().sum::<f64>() / n;
+            let var = preds
+                .iter()
+                .map(|&p| {
+                    let d = p - mean;
+                    d * d
+                })
+                .sum::<f64>()
+                / n;
+            // The two-pass sum of squares is non-negative by construction;
+            // max(0) documents the invariant against future refactors.
+            (mean, var.max(0.0))
+        })
     }
 }
 
@@ -250,7 +288,7 @@ mod tests {
         let (x, y) = noisy_quadratic();
         let mut f = RandomForest::warm_start(ForestParams::default(), 9);
         assert_eq!(f.n_trees(), 0);
-        f.partial_refit(&x, &y, 0);
+        f.partial_refit(&x, &y, 0, 1);
         assert_eq!(f.n_trees(), ForestParams::default().n_trees);
         let preds = f.predict(&x);
         assert!(crate::metrics::mae(&preds, &y) < 11.0);
@@ -261,12 +299,12 @@ mod tests {
         let (x, y) = noisy_quadratic();
         let mut a = RandomForest::warm_start(ForestParams::default(), 3);
         let mut b = RandomForest::warm_start(ForestParams::default(), 3);
-        a.partial_refit(&x, &y, 0);
-        b.partial_refit(&x, &y, 0);
+        a.partial_refit(&x, &y, 0, 1);
+        b.partial_refit(&x, &y, 0, 1);
         assert_eq!(a, b);
-        a.partial_refit(&x, &y, 1);
+        a.partial_refit(&x, &y, 1, 1);
         assert_ne!(a, b, "round 1 must refresh a window of trees");
-        b.partial_refit(&x, &y, 1);
+        b.partial_refit(&x, &y, 1, 1);
         assert_eq!(a, b);
     }
 
@@ -278,9 +316,9 @@ mod tests {
         };
         let (x, y) = noisy_quadratic();
         let mut f = RandomForest::warm_start(p, 5);
-        f.partial_refit(&x, &y, 0);
+        f.partial_refit(&x, &y, 0, 1);
         let before = f.clone();
-        f.partial_refit(&x, &y, 1);
+        f.partial_refit(&x, &y, 1, 1);
         let changed = before
             .trees()
             .iter()
@@ -296,7 +334,7 @@ mod tests {
         let y = vec![7.5; 30];
         let f = RandomForest::fit(&Matrix::from_rows(&rows), &y, 11);
         // Every bootstrap sees only 7.5: all trees agree everywhere.
-        assert_eq!(f.predict_variance(&[4.2]), 0.0);
+        assert_eq!(f.predict_mean_variance(&[4.2]), (7.5, 0.0));
     }
 
     #[test]

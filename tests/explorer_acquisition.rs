@@ -59,7 +59,7 @@ fn degenerate_pools_still_score_finite() {
 #[test]
 fn uncertainty_term_is_zero_when_all_trees_agree() {
     // A constant-target forest: every tree predicts the same value, so
-    // predict_variance is exactly 0 and an all-exploration score
+    // the ensemble variance is exactly 0 and an all-exploration score
     // (eps = 1) must be 0 everywhere — no phantom uncertainty.
     let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64, (i % 7) as f64]).collect();
     let y = vec![1.25e7; 60];
@@ -73,7 +73,11 @@ fn uncertainty_term_is_zero_when_all_trees_agree() {
         9,
     );
     let stds: Vec<f64> = (0..30)
-        .map(|q| f.predict_variance(&[q as f64, (q % 5) as f64]).sqrt())
+        .map(|q| {
+            f.predict_mean_variance(&[q as f64, (q % 5) as f64])
+                .1
+                .sqrt()
+        })
         .collect();
     assert!(
         stds.iter().all(|&s| s == 0.0),

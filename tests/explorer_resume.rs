@@ -3,8 +3,8 @@
 //! A run paused mid-round through the observer hook and resumed must
 //! produce byte-identical artifacts (dataset CSV, curve CSV, curve
 //! JSON) and the same selected design-point sequence as an
-//! uninterrupted run — at 1 thread and at 8 threads, and across the
-//! two (thread count must never leak into the artifacts).
+//! uninterrupted run — at 1, 2 and 8 threads, and across them (thread
+//! count must never leak into the artifacts).
 
 use armdse_core::engine::Engine;
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
@@ -46,7 +46,7 @@ fn artifact_bytes(dir: &Path, name: &str) -> Vec<u8> {
 
 #[test]
 fn paused_exploration_resumes_to_byte_identical_artifacts() {
-    for threads in [1usize, 8] {
+    for threads in [1usize, 2, 8] {
         let engine = Engine::idealized();
         let space = ParamSpace::paper();
 
@@ -119,30 +119,32 @@ fn thread_count_never_leaks_into_the_artifacts() {
     let engine = Engine::idealized();
     let space = ParamSpace::paper();
     let d1 = fresh_dir("t1");
-    let d8 = fresh_dir("t8");
     let r1 = Explorer::new(&engine, &space, opts(1), &d1)
         .unwrap()
         .run(ExploreControl::default())
         .unwrap();
-    let r8 = Explorer::new(&engine, &space, opts(8), &d8)
-        .unwrap()
-        .run(ExploreControl::default())
-        .unwrap();
-    assert_eq!(r1.selected, r8.selected);
-    assert_eq!(r1.curve, r8.curve);
-    for artifact in [
-        "explore_dataset.csv",
-        "explore_curve.csv",
-        "explore_curve.json",
-    ] {
-        assert_eq!(
-            artifact_bytes(&d1, artifact),
-            artifact_bytes(&d8, artifact),
-            "{artifact} differs between 1 and 8 threads"
-        );
+    for threads in [2usize, 8] {
+        let dn = fresh_dir(&format!("t{threads}"));
+        let rn = Explorer::new(&engine, &space, opts(threads), &dn)
+            .unwrap()
+            .run(ExploreControl::default())
+            .unwrap();
+        assert_eq!(r1.selected, rn.selected);
+        assert_eq!(r1.curve, rn.curve);
+        for artifact in [
+            "explore_dataset.csv",
+            "explore_curve.csv",
+            "explore_curve.json",
+        ] {
+            assert_eq!(
+                artifact_bytes(&d1, artifact),
+                artifact_bytes(&dn, artifact),
+                "{artifact} differs between 1 and {threads} threads"
+            );
+        }
+        std::fs::remove_dir_all(&dn).ok();
     }
     std::fs::remove_dir_all(&d1).ok();
-    std::fs::remove_dir_all(&d8).ok();
 }
 
 #[test]
