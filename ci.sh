@@ -70,18 +70,18 @@ cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --out "$SMOKE/expareto" --explore-pareto
 test -f "$SMOKE/expareto/explore_pareto.csv"
 
-# Reuse-smoke lane: the interval-memoizing fidelity tier end to end
-# through the repro binary (DESIGN.md §13). A memoized dataset run must
-# be byte-identical to the Full-fidelity run above and must report
-# interval-cache activity in its summary; a paused memoized run records
-# its tier in the checkpoint, refuses to resume at a different
+# Reuse-smoke lane: the memoized fidelity tier (a whole-job result memo)
+# end to end through the repro binary (DESIGN.md §13). A memoized
+# dataset run must be byte-identical to the Full-fidelity run above and
+# must report job-memo activity in its summary; a paused memoized run
+# records its tier in the checkpoint, refuses to resume at a different
 # fidelity, and completes byte-identically when resumed at its own.
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reused" \
-  --reuse 2> "$SMOKE/reused.log"
+  --fidelity memoized 2> "$SMOKE/reused.log"
 cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/reused/dataset.csv"
 grep -q 'fidelity tier: Memoized' "$SMOKE/reused.log"
-grep -q 'interval reuse: .* insertion' "$SMOKE/reused.log"
+grep -q 'job memo: .* insertion' "$SMOKE/reused.log"
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reupaused" \
   --fidelity memoized --max-chunks 1
@@ -122,7 +122,7 @@ cmp "$SMOKE/mc8/metrics/metrics.csv" "$SMOKE/mc1/metrics/metrics.csv"
 # somewhere in the stream on a 2-core machine.
 grep -q '^[0-9]*,[0-9]*,[^,]*,1,' "$SMOKE/mc8/metrics/metrics.csv"
 if cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 12 --scale tiny --seed 7 --cores 2 --reuse \
+  --configs 12 --scale tiny --seed 7 --cores 2 --fidelity memoized \
   --out "$SMOKE/mcbad"; then
   echo 'FAIL: --cores must reject the reuse fidelity tiers' >&2
   exit 1

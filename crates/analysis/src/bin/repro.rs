@@ -51,7 +51,7 @@
 //! instance of the workload, contending over the shared banked L2 and
 //! DRAM. `--banks N` sets the shared-L2 bank count (default 8). The
 //! multicore machine always simulates at full fidelity, so `--cores`
-//! conflicts with `--reuse` / a non-full `--fidelity`. Dataset
+//! conflicts with a non-full `--fidelity`. Dataset
 //! campaigns on a multicore machine record the machine shape in their
 //! checkpoint (`mc.cores` / `mc.banks`) and refuse to resume under a
 //! different shape; with `--metrics` the metrics CSV carries one
@@ -105,7 +105,7 @@ struct Cli {
 }
 
 /// `--fidelity` argument: which simulation tier the shared engine runs
-/// at. `--reuse` is shorthand for `--fidelity memoized`.
+/// at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FidelityArg {
     Full,
@@ -148,7 +148,6 @@ fn parse_args() -> Result<Cli, String> {
             "--explore" => explore_budget = Some(val()?.parse().map_err(|e| format!("{e}"))?),
             "--explore-pareto" => explore_pareto = true,
             "--explore-screen" => explore_screen = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--reuse" => fidelity = FidelityArg::Memoized,
             "--fidelity" => {
                 fidelity = match val()?.as_str() {
                     "full" => FidelityArg::Full,
@@ -182,7 +181,7 @@ fn parse_args() -> Result<Cli, String> {
     if topology != Topology::default() && fidelity != FidelityArg::Full {
         return Err(
             "--cores/--banks run the multicore machine, which only simulates at full \
-                    fidelity; drop --reuse/--fidelity"
+                    fidelity; drop --fidelity"
                 .to_string(),
         );
     }
@@ -214,7 +213,7 @@ fn main() {
     let cli = match parse_args() {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--explore-screen N] [--reuse] [--fidelity full|memoized|sampled] [--cores N] [--banks N] [--apps base|extended]");
+            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--explore-screen N] [--fidelity full|memoized|sampled] [--cores N] [--banks N] [--apps base|extended]");
             std::process::exit(2);
         }
     };
@@ -451,7 +450,7 @@ fn run(cli: &Cli) {
     if let Some(rs) = engine.backend().reuse_stats() {
         let lookups = rs.hits + rs.misses;
         eprintln!(
-            "[repro] interval reuse: {}/{} lookups hit ({:.1}%), {} insertion(s), {} eviction(s)",
+            "[repro] job memo: {}/{} lookups hit ({:.1}%), {} insertion(s), {} eviction(s)",
             rs.hits,
             lookups,
             100.0 * rs.hits as f64 / lookups.max(1) as f64,

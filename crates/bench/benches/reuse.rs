@@ -1,12 +1,12 @@
-//! Benchmarks of the interval-reuse stack: cold-cache vs warm-cache
-//! campaign throughput through the memoizing tier (the headline number
-//! the reuse layer exists to move), the plain backend for context, the
-//! sampled screening tier, and the raw interval-cache hit path.
+//! Benchmarks of the reuse stack: cold-memo vs warm-memo campaign
+//! throughput through the memoized tier, the plain backend for context,
+//! the sampled screening tier, and the raw job-memo hit path.
 //!
-//! The cold/warm pair is the acceptance contract: a warm interval cache
-//! must push simulated-jobs/sec well past the cold (memoize-everything)
-//! pass, because a repeated design point reduces to hash-chain walks
-//! and cache lookups instead of cycle-by-cycle simulation.
+//! A cold memo costs the plain simulation plus one key hash and one
+//! insertion per job, so `reuse/cold_jobs` should track
+//! `reuse/plain_jobs`. A warm memo must push simulated-jobs/sec well
+//! past both, because a repeated job reduces to one key hash and one
+//! lookup instead of cycle-by-cycle simulation.
 
 use armdse_bench::harness::Harness;
 use armdse_core::dataset::DseDataset;
@@ -48,17 +48,17 @@ fn main() {
     let plain = Engine::idealized();
     h.bench_throughput("reuse/plain_jobs", jobs, || black_box(run_once(&plain, &p)));
 
-    // Cold cache: every interval is simulated and inserted. This pays
-    // the full simulation plus fingerprinting and snapshotting.
+    // Cold memo: every job is simulated and inserted. This pays the
+    // plain simulation plus one key hash and one insertion per job.
     let cold = Engine::memoized(DEFAULT_INTERVAL_LEN);
     h.bench_throughput("reuse/cold_jobs", jobs, || {
         cold.backend().clear_reuse_cache();
         black_box(run_once(&cold, &p))
     });
 
-    // Warm cache: the same campaign re-run against a populated cache —
-    // every interval chain resolves to lookups. The warm/cold ratio is
-    // the reuse speedup the tier is accepted on (>= 1.5x).
+    // Warm memo: the same campaign re-run against a populated memo —
+    // every job resolves to one lookup. The warm/cold ratio is the
+    // reuse speedup the tier is accepted on (>= 1.5x).
     let warm = Engine::memoized(DEFAULT_INTERVAL_LEN);
     run_once(&warm, &p);
     h.bench_throughput("reuse/warm_jobs", jobs, || black_box(run_once(&warm, &p)));
@@ -71,7 +71,7 @@ fn main() {
     });
 
     // Raw single-workload hit path: repeated simulation of one program
-    // through a warm memoizer, isolating cache-walk overhead from
+    // through a warm memo, isolating key-hash and lookup overhead from
     // campaign orchestration.
     let core = CoreParams::thunderx2();
     let mem = armdse_memsim::MemParams::thunderx2();

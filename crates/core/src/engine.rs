@@ -42,9 +42,12 @@
 //!
 //! A **v2** checkpoint extends v1 with a free-form section of
 //! `key=value` lines after the four fixed fields (keys must not collide
-//! with the fixed field names). The engine itself never interprets the
-//! section — it persists whatever [`RunControl::checkpoint_extra`]
-//! carries and [`Checkpoint::load`] hands it back. The adaptive
+//! with the fixed field names). `Checkpoint::new` opens the section
+//! with the engine's own keys — the fidelity tier (`reuse.*`) and the
+//! machine shape (`mc.*`), which a resume must match — and appends the
+//! caller's state, which the engine never interprets: it persists
+//! whatever [`RunControl::checkpoint_extra`] carries and
+//! [`Checkpoint::load`] hands it back. The adaptive
 //! [`crate::explorer::Explorer`] stores its exploration state there
 //! (acquisition RNG, selection history, per-round model hashes; see
 //! DESIGN.md §12). A file with an empty section is written in the v1
@@ -59,6 +62,7 @@ use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_simcore::{
     Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, Sampled, SimBackend, SimStats,
+    Topology,
 };
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -355,7 +359,85 @@ const CHECKPOINT_MAGIC_V1: &str = "armdse-checkpoint v1";
 const CHECKPOINT_MAGIC_V2: &str = "armdse-checkpoint v2";
 const FIXED_FIELDS: [&str; 4] = ["fingerprint", "jobs_done", "rows", "discarded"];
 
+/// The checkpoint keys recording `backend`'s fidelity tier and machine
+/// topology. Full fidelity on the single-core default maps to no keys,
+/// so default campaigns keep the v1 on-disk format byte-for-byte.
+pub(crate) fn engine_keys(backend: &dyn SimBackend) -> Vec<(String, String)> {
+    let f = backend.fidelity();
+    let tag = ("reuse.fidelity".into(), f.tag().into());
+    let mut keys = match f {
+        Fidelity::Full => Vec::new(),
+        Fidelity::Memoized { interval_len } => {
+            vec![tag, ("reuse.interval_len".into(), interval_len.to_string())]
+        }
+        Fidelity::Sampled {
+            interval_len,
+            warmup,
+        } => vec![
+            tag,
+            ("reuse.interval_len".into(), interval_len.to_string()),
+            ("reuse.warmup".into(), warmup.to_string()),
+        ],
+    };
+    let t = backend.topology();
+    if t != Topology::default() {
+        keys.push(("mc.cores".into(), t.cores.to_string()));
+        keys.push(("mc.banks".into(), t.banks.to_string()));
+    }
+    keys
+}
+
 impl Checkpoint {
+    /// A checkpoint of a run on `engine`: [`engine_keys`] first, then
+    /// the caller's `extra`. Every checkpoint a run writes is built
+    /// here, so none can leave out the keys a resume checks.
+    pub(crate) fn new(
+        engine: &Engine,
+        fingerprint: u64,
+        jobs_done: usize,
+        rows: usize,
+        discarded: usize,
+        extra: &[(String, String)],
+    ) -> Checkpoint {
+        let mut all = engine_keys(engine.backend());
+        all.extend_from_slice(extra);
+        Checkpoint {
+            fingerprint,
+            jobs_done,
+            rows,
+            discarded,
+            extra: all,
+        }
+    }
+
+    /// Refuse a resume of this checkpoint (loaded from `path`) on
+    /// `engine` unless every engine key — any `reuse.*` or `mc.*` key on
+    /// either side — matches [`engine_keys`], so rows produced at a
+    /// different fidelity or on a different machine shape are never
+    /// spliced into one dataset.
+    pub(crate) fn check_engine(&self, engine: &Engine, path: &Path) -> Result<(), ArmdseError> {
+        let want = engine_keys(engine.backend());
+        let is_engine_key = |k: &str| k.starts_with("reuse.") || k.starts_with("mc.");
+        let names = want
+            .iter()
+            .map(|(k, _)| k)
+            .chain(self.extra.iter().map(|(k, _)| k));
+        for key in names.filter(|k| is_engine_key(k)) {
+            let want = want.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+            if self.extra_get(key) != want {
+                return Err(ArmdseError::Checkpoint(format!(
+                    "{}: {key} {:?} does not match this engine's {:?} — \
+                     refusing to mix fidelity tiers or machine shapes \
+                     in one dataset",
+                    path.display(),
+                    self.extra_get(key),
+                    want
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Atomically persist to `path` (temp file + rename). An empty
     /// `extra` section writes the v1 format byte-for-byte; a non-empty
     /// one writes v2 with the section appended after the fixed fields.
@@ -476,7 +558,7 @@ pub struct Progress {
     pub rows: usize,
     /// Discarded runs so far.
     pub discarded: usize,
-    /// Interval-cache counters of the engine's backend at this chunk
+    /// Job-memo counters of the engine's backend at this chunk
     /// boundary (`None` for backends without reuse state). Cumulative
     /// over the backend's lifetime, not per-chunk.
     pub reuse: Option<ReuseStats>,
@@ -511,18 +593,18 @@ pub struct RunControl<'a> {
     /// section (see [`Checkpoint::extra`]). `None` or an empty slice
     /// keeps the v1 on-disk format.
     pub checkpoint_extra: Option<&'a [(String, String)]>,
-    /// What to do with the backend's interval-reuse cache at run start.
+    /// What to do with the backend's job memo at run start.
     pub reuse: ReuseMode,
 }
 
-/// Interval-cache policy for one [`Engine::run_controlled`] call.
+/// Job-memo policy for one [`Engine::run_controlled`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReuseMode {
     /// Keep whatever the backend has cached (the default): warm runs
-    /// reuse intervals from earlier campaigns on the same engine.
+    /// reuse job results from earlier campaigns on the same engine.
     #[default]
     Inherit,
-    /// Clear the reuse cache before the first chunk so the run measures
+    /// Clear the job memo before the first chunk so the run measures
     /// (and behaves like) a cold start. No-op on backends without reuse
     /// state.
     ColdStart,
@@ -573,9 +655,10 @@ impl Engine {
         Engine::new(Box::new(Idealized))
     }
 
-    /// An engine over the interval-memoizing tier wrapping the default
-    /// hierarchy: exact results, with per-interval timing reused across
-    /// jobs and runs (see `armdse_simcore::reuse`).
+    /// An engine over the memoized tier wrapping the default hierarchy:
+    /// exact results, with a repeated job's result reused across
+    /// campaigns on this engine (see `armdse_simcore::reuse`).
+    /// `interval_len` is recorded in the tier tag only.
     pub fn memoized(interval_len: u64) -> Engine {
         Engine::new(Box::new(Memoized::with_interval_len(
             Idealized,
@@ -1249,7 +1332,7 @@ mod tests {
         e.run(&p, &mut warm).unwrap();
         assert_eq!(warm, want);
         let rs = e.backend().reuse_stats().expect("memoized reports stats");
-        assert!(rs.hits > 0, "warm campaign must hit the interval cache");
+        assert!(rs.hits > 0, "warm campaign must hit the job memo");
     }
 
     #[test]
@@ -1357,6 +1440,24 @@ mod tests {
         assert!(s.completed);
         assert_eq!(s.resumed_from, 4);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn check_engine_compares_every_engine_key_on_either_side() {
+        let path = Path::new("run.ckpt");
+        let engine = Engine::memoized(512);
+        let c = Checkpoint::new(&engine, 1, 0, 0, 0, &[("explore.round".into(), "2".into())]);
+        c.check_engine(&engine, path).unwrap();
+        // A key only the checkpoint carries is refused, not ignored...
+        let mut extra = c.clone();
+        extra.extra.push(("mc.l2_share".into(), "1".into()));
+        let err = extra.check_engine(&engine, path).unwrap_err();
+        assert!(err.to_string().contains("mc.l2_share"), "{err}");
+        // ...as is a missing engine key, while caller keys are not checked.
+        let err = Checkpoint::new(&Engine::idealized(), 1, 0, 0, 0, &[])
+            .check_engine(&engine, path)
+            .unwrap_err();
+        assert!(err.to_string().contains("reuse.fidelity"), "{err}");
     }
 
     #[test]

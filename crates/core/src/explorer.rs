@@ -792,13 +792,14 @@ impl<'e> Explorer<'e> {
                 // Persist position *before* the round's engine run so an
                 // interruption anywhere inside it resumes this round with
                 // this exact selection and post-selection RNG state.
-                Checkpoint {
-                    fingerprint: self.plan_for(&picks)?.fingerprint(),
-                    jobs_done: 0,
-                    rows: state.rows.len(),
-                    discarded: state.discarded,
-                    extra: self.checkpoint_extra(&state, false),
-                }
+                Checkpoint::new(
+                    self.engine,
+                    self.plan_for(&picks)?.fingerprint(),
+                    0,
+                    state.rows.len(),
+                    state.discarded,
+                    &self.checkpoint_extra(&state, false),
+                )
                 .save(&ckpt_path)?;
                 picks
             };
@@ -858,13 +859,14 @@ impl<'e> Explorer<'e> {
 
         // Final checkpoint marks completion (resume becomes a no-op),
         // then the completion-only artifacts.
-        Checkpoint {
-            fingerprint: self.options_fingerprint(),
-            jobs_done: 0,
-            rows: state.rows.len(),
-            discarded: state.discarded,
-            extra: self.checkpoint_extra(&state, true),
-        }
+        Checkpoint::new(
+            self.engine,
+            self.options_fingerprint(),
+            0,
+            state.rows.len(),
+            state.discarded,
+            &self.checkpoint_extra(&state, true),
+        )
         .save(&ckpt_path)?;
         self.write_curve_json(&state)?;
         if self.opts.pareto {

@@ -11,12 +11,11 @@
 //! ## Per-job isolation
 //!
 //! Every job owns a private [`Engine`] — its own [`WorkloadCache`] and
-//! its own backend instance (and therefore its own interval-reuse
-//! cache when the job runs at the memoized or sampled tier). Two
-//! tenants submitting jobs with different seeds or fidelity tiers can
-//! never pollute each other's memoized chains or workload cache; the
-//! only shared state between concurrent jobs is the scheduler's queue
-//! lock. Combined with the engine's thread-count-invariant determinism
+//! its own backend instance (and therefore its own job memo when the
+//! job runs at the memoized tier). Two tenants submitting jobs with
+//! different seeds or fidelity tiers can never pollute each other's
+//! memo or workload cache; the only shared state between concurrent
+//! jobs is the scheduler's queue lock. Combined with the engine's thread-count-invariant determinism
 //! contract, a job's output bytes depend only on its spec — never on
 //! what else the server happens to be running (pinned by
 //! `tests/server_jobs.rs`).
@@ -1019,15 +1018,9 @@ mod tests {
         // a: done marker; b: failed marker; c: mid-campaign checkpoint.
         a.persist_terminal(JobState::Done, None);
         b.persist_terminal(JobState::Failed, Some("sim exploded"));
-        Checkpoint {
-            fingerprint: c.plan().fingerprint(),
-            jobs_done: 4,
-            rows: 4,
-            discarded: 0,
-            extra: Vec::new(),
-        }
-        .save(&c.ckpt_path())
-        .unwrap();
+        Checkpoint::new(c.engine(), c.plan().fingerprint(), 4, 4, 0, &[])
+            .save(&c.ckpt_path())
+            .unwrap();
         let (ida, idb, idc) = (a.id(), b.id(), c.id());
         drop((a, b, c, store));
 

@@ -44,7 +44,6 @@ use crate::engine::{
 use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
 use crate::metrics::{MetricsCsvSink, MetricsRow, MetricsSink};
-use armdse_simcore::{Fidelity, Topology};
 use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -54,41 +53,6 @@ use std::thread::JoinHandle;
 /// One job's chunk result: index, dataset outcome, optional metrics
 /// rows (aggregate first, then per-core detail on multicore backends).
 pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Option<Vec<MetricsRow>>);
-
-/// The checkpoint v2 extra keys recording a non-default fidelity tier.
-/// [`Fidelity::Full`] maps to no keys at all so default campaigns keep
-/// the v1 on-disk checkpoint format byte-for-byte.
-pub(crate) fn fidelity_extra(f: Fidelity) -> Vec<(String, String)> {
-    let tag = ("reuse.fidelity".into(), f.tag().into());
-    match f {
-        Fidelity::Full => Vec::new(),
-        Fidelity::Memoized { interval_len } => {
-            vec![tag, ("reuse.interval_len".into(), interval_len.to_string())]
-        }
-        Fidelity::Sampled {
-            interval_len,
-            warmup,
-        } => vec![
-            tag,
-            ("reuse.interval_len".into(), interval_len.to_string()),
-            ("reuse.warmup".into(), warmup.to_string()),
-        ],
-    }
-}
-
-/// The checkpoint v2 extra keys recording a non-default machine
-/// topology. The single-core default maps to no keys at all, so every
-/// pre-multicore campaign keeps its on-disk checkpoint bytes.
-pub(crate) fn topology_extra(t: Topology) -> Vec<(String, String)> {
-    if t == Topology::default() {
-        Vec::new()
-    } else {
-        vec![
-            ("mc.cores".into(), t.cores.to_string()),
-            ("mc.banks".into(), t.banks.to_string()),
-        ]
-    }
-}
 
 /// Execute jobs `start..end` of `plan` across its worker threads on
 /// `engine`, returning results sorted by job index. Worker shard `t`
@@ -166,13 +130,6 @@ pub(crate) fn run_job_loop(
 ) -> Result<RunSummary, ArmdseError> {
     let total_jobs = plan.jobs();
     let fingerprint = plan.fingerprint();
-    // Fidelity and machine-topology keys ride along in the checkpoint's
-    // v2 extra section so a resume cannot silently splice rows produced
-    // at a different fidelity — or on a different machine shape — into
-    // one dataset. Full fidelity on the single-core default writes no
-    // keys, keeping the default on-disk format byte-identical.
-    let mut reuse_extra = fidelity_extra(engine.backend().fidelity());
-    reuse_extra.extend(topology_extra(engine.backend().topology()));
     let mut done = 0usize;
     let mut resumed_from = 0usize;
     let (mut prior_rows, mut prior_discarded) = (0usize, 0usize);
@@ -198,28 +155,7 @@ pub(crate) fn run_job_loop(
                     c.jobs_done
                 )));
             }
-            for key in [
-                "reuse.fidelity",
-                "reuse.interval_len",
-                "reuse.warmup",
-                "mc.cores",
-                "mc.banks",
-            ] {
-                let want = reuse_extra
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.as_str());
-                if c.extra_get(key) != want {
-                    return Err(ArmdseError::Checkpoint(format!(
-                        "{}: {key} {:?} does not match this engine's {:?} — \
-                         refusing to mix fidelity tiers or machine shapes \
-                         in one dataset",
-                        path.display(),
-                        c.extra_get(key),
-                        want
-                    )));
-                }
-            }
+            c.check_engine(engine, path)?;
             done = c.jobs_done;
             resumed_from = done;
             prior_rows = c.rows;
@@ -257,15 +193,14 @@ pub(crate) fn run_job_loop(
             msink.chunk_end()?;
         }
         if let Some(path) = ctl.checkpoint {
-            let mut extra = reuse_extra.clone();
-            extra.extend_from_slice(ctl.checkpoint_extra.unwrap_or(&[]));
-            Checkpoint {
+            Checkpoint::new(
+                engine,
                 fingerprint,
-                jobs_done: done,
-                rows: prior_rows + rows,
-                discarded: prior_discarded + discarded,
-                extra,
-            }
+                done,
+                prior_rows + rows,
+                prior_discarded + discarded,
+                ctl.checkpoint_extra.unwrap_or(&[]),
+            )
             .save(path)?;
         }
         let progress = Progress {

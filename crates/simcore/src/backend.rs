@@ -71,7 +71,7 @@ pub trait SimBackend: Send + Sync {
         mem: &MemParams,
     ) -> (SimStats, Counters);
 
-    /// Interval-cache counters, for backends that reuse computation
+    /// Job-memo counters, for backends that reuse computation
     /// across runs ([`crate::reuse::Memoized`]). `None` for backends
     /// with no reuse state (the default).
     fn reuse_stats(&self) -> Option<ReuseStats> {
@@ -84,7 +84,7 @@ pub trait SimBackend: Send + Sync {
         Fidelity::Full
     }
 
-    /// Drop any memoized interval results so the next run starts cold.
+    /// Drop any memoized job results so the next run starts cold.
     /// No-op for backends without reuse state (the default).
     fn clear_reuse_cache(&self) {}
 

@@ -39,7 +39,7 @@ pub use backend::{BankedProxy, Contended, Idealized, SimBackend, Traced};
 pub use counters::{Counters, CycleBucket, OccupancyHist, Structure};
 pub use multicore::{MultiCore, PerCoreMetrics, Topology, SLICE_CYCLES};
 pub use params::CoreParams;
-pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline, PipelineSnapshot};
+pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline};
 pub use reuse::{
     Fidelity, IntervalBackend, Memoized, ReuseStats, Sampled, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP,
 };

@@ -1,21 +1,12 @@
-//! Segment-level computation reuse: interval-memoizing and sampled
-//! fidelity tiers.
+//! Computation reuse and reduced-fidelity tiers.
 //!
-//! The paper's campaigns re-simulate the *same* `(workload, config)`
-//! neighbourhoods over and over: the explorer's acquisition loop
-//! revisits near-identical design points, resumed campaigns replay
-//! prefixes, and the differential harness runs every program at least
-//! twice. This module exploits the simulator's determinism to reuse
-//! work at *interval* granularity instead of whole runs:
-//!
-//! * [`Memoized`] — an exact tier. The dynamic instruction stream is
-//!   split into fixed-size retirement intervals; each interval's timing
-//!   result is keyed by a hash chain over `(program, relevant parameter
-//!   slice, interval index, architectural entry state)` and cached in a
-//!   bounded, shard-locked [`ShardedCache`]. A warm cache replays a run
-//!   as a chain of lookups; results are **bit-identical** to the
-//!   uncached backend (pinned by `tests/reuse_equivalence.rs` and the
-//!   differential fuzz reuse lane).
+//! * [`Memoized`] — an exact tier: a whole-job result memo. Each run is
+//!   keyed by `(program, relevant parameter slice, metrics flag)` and
+//!   its statistics (plus counters for a metrics run) are stored in a
+//!   bounded, shard-locked [`ShardedCache`]. A repeated job is one
+//!   lookup; results are **bit-identical** to the uncached backend
+//!   (pinned by `tests/reuse_equivalence.rs` and the differential fuzz
+//!   reuse lane).
 //! * [`Sampled`] — a SimPoint-style lower-fidelity tier: simulate a
 //!   warmup prefix plus one representative interval, then extrapolate
 //!   the remaining retirements at the measured rate. Timing is
@@ -25,24 +16,13 @@
 //!
 //! ## Reuse legality
 //!
-//! Memoization is sound because the pipeline is a deterministic function
-//! of `(program, CoreParams, memory model)` and
-//! [`Pipeline::state_hash`] fingerprints every architectural *and*
-//! micro-architectural input an interval's timing depends on. The key
-//! chain is:
-//!
-//! ```text
-//! base     = fnv(program | param-slice | interval_len | metrics)
-//! key[i]   = fnv(base, i, entry_hash[i])
-//! entry_hash[0]   = base
-//! entry_hash[i+1] = exit state hash stored with interval i
-//! ```
-//!
-//! A lookup can only hit when the whole prefix chain matched, so a hit's
-//! cached exit state is exactly what simulation would have produced.
-//! See `docs/DESIGN.md` §13 for the full argument (including why the
-//! parameter slice may soundly *exclude* parameters a program provably
-//! never exercises).
+//! A run is a deterministic function of `(program, CoreParams, memory
+//! model)`, and the memo key covers every input a run can observe:
+//! the program's full static identity, every parameter the program can
+//! exercise, and whether counters were collected. A hit therefore
+//! returns exactly what simulation would have produced. See
+//! `docs/DESIGN.md` §13 for why the parameter slice may soundly
+//! *exclude* parameters a program provably never exercises.
 
 use std::sync::Arc;
 
@@ -50,7 +30,7 @@ use crate::backend::SimBackend;
 use crate::counters::Counters;
 use crate::cycle_limit;
 use crate::params::CoreParams;
-use crate::pipeline::{Pipeline, PipelineSnapshot};
+use crate::pipeline::Pipeline;
 use crate::stats::SimStats;
 use armdse_isa::instr::DynInstr;
 use armdse_isa::{OpSummary, Program, RegClass, TraceCursor};
@@ -61,8 +41,8 @@ use armdse_memsim::{BankedHierarchy, Hierarchy, MemParams, MemStats, MemoryModel
 /// [`SimBackend::reuse_stats`] (hits, misses, insertions, evictions).
 pub type ReuseStats = CacheStats;
 
-/// Default retirement-interval length for the memoizing and sampled
-/// tiers (instructions per interval).
+/// Default measured-interval length of the sampled tier (instructions),
+/// also the memoized tier's default recorded tag.
 pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
 
 /// Default warmup prefix for the [`Sampled`] tier (instructions). One
@@ -73,15 +53,13 @@ pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
 /// resulting error bound at the Small scale.
 pub const DEFAULT_WARMUP: u64 = 4096;
 
-/// Default interval-cache bound (entries across all shards). Interval
-/// snapshots are large (tens of kilobytes: cache tag arrays dominate),
-/// so this is deliberately far below the generic
-/// [`ShardedCache`] default.
-pub const DEFAULT_INTERVAL_CACHE_ENTRIES: usize = 1024;
+/// Job-memo bound (entries across all shards). One entry per distinct
+/// job keeps the memo's footprint a few megabytes at most.
+const MEMO_ENTRIES: usize = 1024;
 
-/// Shard count for the interval cache (matches the workload cache's
+/// Shard count for the job memo (matches the workload cache's
 /// lock-splitting granularity).
-pub const DEFAULT_INTERVAL_CACHE_SHARDS: usize = 16;
+const MEMO_SHARDS: usize = 16;
 
 /// Simulation fidelity tier a backend runs at, reported via
 /// [`SimBackend::fidelity`] so orchestration layers (checkpoints, the
@@ -90,9 +68,10 @@ pub const DEFAULT_INTERVAL_CACHE_SHARDS: usize = 16;
 pub enum Fidelity {
     /// Exact, uncached cycle-approximate simulation (the default).
     Full,
-    /// Exact simulation with interval-level memoization ([`Memoized`]).
+    /// Exact simulation with a whole-job result memo ([`Memoized`]).
     Memoized {
-        /// Retirement-interval length in instructions.
+        /// Recorded tier tag only: reported and checkpointed, but not
+        /// part of the memo key and without effect on any result.
         interval_len: u64,
     },
     /// Approximate warmup-plus-representative-interval extrapolation
@@ -119,13 +98,12 @@ impl Fidelity {
 }
 
 /// A [`SimBackend`] whose memory model can be *constructed as a value*,
-/// which is what the interval tiers need: they drive [`Pipeline`]
-/// incrementally (snapshot, restore, resume) instead of calling the
-/// backend's one-shot entry points. The memory model must be `Clone`
-/// so pipeline snapshots can carry it.
+/// which is what the [`Sampled`] tier needs: it drives [`Pipeline`]
+/// incrementally (warmup, measure, stop) instead of calling the
+/// backend's one-shot entry points.
 pub trait IntervalBackend: SimBackend {
     /// The concrete memory model this backend simulates against.
-    type Mem: MemoryModel + Clone + Send + Sync;
+    type Mem: MemoryModel + Send + Sync;
 
     /// Build a fresh (cold) memory model for one run.
     fn build_mem(&self, mem: &MemParams) -> Self::Mem;
@@ -232,7 +210,7 @@ impl ParamRelevance {
 /// Hash the *relevant slice* of the design point: parameters the static
 /// scan proves the program cannot exercise are excluded, so two design
 /// points differing only in provably-irrelevant parameters share one
-/// interval chain. Exclusion is sound because a physical register file
+/// memo entry. Exclusion is sound because a physical register file
 /// that is never allocated from and a memory hierarchy that is never
 /// accessed cannot influence any pipeline transition.
 fn param_slice_hash(relevance: ParamRelevance, core: &CoreParams, mem: &MemParams) -> u64 {
@@ -279,96 +257,63 @@ fn param_slice_hash(relevance: ParamRelevance, core: &CoreParams, mem: &MemParam
     h.finish()
 }
 
-/// The run-level base key: program identity, relevant parameter slice,
-/// interval length, and whether counters are enabled (a metrics machine
-/// carries extra state, so metrics and plain chains never alias).
-fn base_key(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-    interval_len: u64,
-    metrics: bool,
-) -> u64 {
+/// The memo key of one run: program identity, relevant parameter
+/// slice, and whether counters are enabled (a metrics run also returns
+/// counters, so metrics and plain results never alias).
+fn base_key(program: &Program, core: &CoreParams, mem: &MemParams, metrics: bool) -> u64 {
     let mut h = Fnv::new();
     // The Debug rendering covers every field of the lowered program
     // (ops, loop table, trip counts) — the full static identity.
     h.bytes(format!("{program:?}").as_bytes());
     h.u64(param_slice_hash(ParamRelevance::of(program), core, mem));
-    h.u64(interval_len);
     h.u64(u64::from(metrics));
     h.finish()
-}
-
-/// Key of interval `i` given the chained architectural entry hash.
-fn interval_key(base: u64, i: u64, entry_hash: u64) -> u64 {
-    Fnv::new().u64(base).u64(i).u64(entry_hash).finish()
 }
 
 // ---------------------------------------------------------------------
 // Memoized tier
 // ---------------------------------------------------------------------
 
-/// One cached interval result.
-struct IntervalEntry<M: MemoryModel> {
-    /// [`Pipeline::state_hash`] at the interval's end — the next link of
-    /// the key chain.
-    exit_hash: u64,
-    payload: IntervalPayload<M>,
-}
-
-enum IntervalPayload<M: MemoryModel> {
-    /// The run ended inside this interval (finished or hit the cycle
-    /// limit): the *cumulative* run statistics, plus finalized counters
-    /// when the chain is a metrics chain.
-    Terminal {
-        stats: Box<SimStats>,
-        counters: Option<Box<Counters>>,
-    },
-    /// The run continues: a full machine snapshot at the interval
-    /// boundary, sufficient to resume simulation on a later miss.
-    Snapshot(Box<PipelineSnapshot<M>>),
-}
-
-/// Exact interval-memoizing wrapper around an [`IntervalBackend`].
+/// Exact whole-job memo around any [`SimBackend`].
 ///
-/// `run` and `run_with_metrics` walk the interval key chain described in
-/// the module docs: every interval boundary does one cache lookup; a hit
-/// *adopts* the cached result (dropping any live machine — the cached
-/// exit state is bit-identical to what simulation would produce); a miss
-/// materializes a machine (fresh at interval 0, or restored from the
-/// previous interval's snapshot) and simulates exactly one interval.
-/// Because lookups happen every interval even while a machine is live,
-/// a partially evicted chain heals itself: the first re-simulated
-/// interval's exit hash rejoins the surviving suffix.
+/// `run` and `run_with_metrics` look the job up under its key
+/// (program, relevant parameter slice, metrics flag); a hit returns the
+/// stored result, a miss runs the inner backend once and stores its
+/// statistics (plus counters for a metrics run). A run is a
+/// deterministic function of its key, so a hit is exactly what
+/// simulation would have produced. The memo pays off only when the
+/// same engine runs a job twice: `repro all` repeats 74 of its 1536
+/// lookups across experiments, and a warm re-run on the same engine
+/// repeats every job. Each served job and each resumed process builds
+/// a fresh engine, so those start with an empty memo; on a fresh
+/// campaign of distinct design points it never hits. The memo holds
+/// at most 1024 entries in total (FIFO per shard), so a warm re-run
+/// hits only when the campaign has at most about 1024 jobs.
 ///
-/// `run_traced` intentionally bypasses the cache (the commit log borrows
-/// the program and is not snapshotable) and delegates to the inner
-/// backend — traces are an oracle-only path where caching would buy
-/// nothing.
-pub struct Memoized<B: IntervalBackend> {
+/// `run_traced` bypasses the memo and delegates to the inner backend —
+/// traces are an oracle-only path where caching would buy nothing.
+pub struct Memoized<B: SimBackend> {
     inner: B,
     interval_len: u64,
-    cache: ShardedCache<u64, IntervalEntry<B::Mem>>,
+    cache: ShardedCache<u64, (SimStats, Option<Counters>)>,
 }
 
-impl<B: IntervalBackend> Memoized<B> {
-    /// Memoizing wrapper with the default interval length and cache
-    /// bound.
+impl<B: SimBackend> Memoized<B> {
+    /// Memoizing wrapper with the default recorded interval length.
     pub fn new(inner: B) -> Memoized<B> {
         Memoized::with_interval_len(inner, DEFAULT_INTERVAL_LEN)
     }
 
-    /// Memoizing wrapper with an explicit interval length (instructions
-    /// per interval; must be ≥ 1).
+    /// Memoizing wrapper recording `interval_len` (≥ 1) as its tier
+    /// tag. The length is reported by [`SimBackend::fidelity`] and
+    /// written to checkpoints, but it is not part of the memo key and
+    /// changes no result.
     pub fn with_interval_len(inner: B, interval_len: u64) -> Memoized<B> {
         assert!(interval_len >= 1, "interval length must be at least 1");
         Memoized {
             inner,
             interval_len,
-            cache: ShardedCache::new(
-                DEFAULT_INTERVAL_CACHE_SHARDS,
-                DEFAULT_INTERVAL_CACHE_ENTRIES,
-            ),
+            cache: ShardedCache::new(MEMO_SHARDS, MEMO_ENTRIES),
         }
     }
 
@@ -377,104 +322,49 @@ impl<B: IntervalBackend> Memoized<B> {
         &self.inner
     }
 
-    /// Configured interval length in instructions.
+    /// The recorded interval length (a tier tag only).
     pub fn interval_len(&self) -> u64 {
         self.interval_len
     }
 
-    /// Cache hit/miss/insertion/eviction counters since construction or
+    /// Memo hit/miss/insertion/eviction counters since construction or
     /// the last [`SimBackend::clear_reuse_cache`].
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// The chain walk shared by `run` and `run_with_metrics`.
+    /// The memo lookup shared by `run` and `run_with_metrics`.
     fn run_cached(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
         metrics: bool,
-    ) -> (SimStats, Option<Box<Counters>>) {
+    ) -> Arc<(SimStats, Option<Counters>)> {
+        // Validate before the lookup: the key slices out parameters the
+        // program never exercises, so an invalid value there would
+        // otherwise be answered from another design point's entry.
         core.validate().expect("core parameters must validate");
-        let limit = cycle_limit(program);
-        let base = base_key(program, core, mem, self.interval_len, metrics);
-        let mut entry_hash = base;
-        let mut prev: Option<Arc<IntervalEntry<B::Mem>>> = None;
-        let mut machine: Option<Pipeline<'_, B::Mem>> = None;
-        let mut i: u64 = 0;
-        loop {
-            let key = interval_key(base, i, entry_hash);
-            let entry = match self.cache.get(&key) {
-                Some(hit) => {
-                    // Adopt the cached interval: the chain proves its
-                    // inputs matched bit-for-bit, so any live machine is
-                    // redundant.
-                    machine = None;
-                    hit
-                }
-                None => {
-                    let mut m = match machine.take() {
-                        Some(m) => m,
-                        None => match &prev {
-                            Some(p) => match &p.payload {
-                                IntervalPayload::Snapshot(snap) => Pipeline::restore(program, snap),
-                                IntervalPayload::Terminal { .. } => {
-                                    unreachable!("terminal entries return below")
-                                }
-                            },
-                            None => {
-                                debug_assert_eq!(i, 0, "interval 0 starts from a fresh machine");
-                                let mut p =
-                                    Pipeline::new(program, *core, self.inner.build_mem(mem));
-                                if metrics {
-                                    p.enable_counters();
-                                }
-                                p
-                            }
-                        },
-                    };
-                    let target = (i + 1).saturating_mul(self.interval_len);
-                    m.drive_until_retired(limit, target);
-                    let terminal = m.is_finished() || m.stats().hit_cycle_limit;
-                    let exit_hash = m.state_hash();
-                    let payload = if terminal {
-                        IntervalPayload::Terminal {
-                            stats: Box::new(m.stats().clone()),
-                            counters: m.take_counters_finalized(),
-                        }
-                    } else {
-                        IntervalPayload::Snapshot(Box::new(m.snapshot()))
-                    };
-                    let entry = self.cache.insert(key, IntervalEntry { exit_hash, payload });
-                    machine = Some(m);
-                    entry
-                }
+        let key = base_key(program, core, mem, metrics);
+        self.cache.get(&key).unwrap_or_else(|| {
+            let result = if metrics {
+                let (stats, counters) = self.inner.run_with_metrics(program, core, mem);
+                (stats, Some(counters))
+            } else {
+                (self.inner.run(program, core, mem), None)
             };
-            match &entry.payload {
-                IntervalPayload::Terminal { stats, counters } => {
-                    let mut stats = SimStats::clone(stats);
-                    finish_validation(&mut stats, program);
-                    let counters = if metrics { counters.clone() } else { None };
-                    return (stats, counters);
-                }
-                IntervalPayload::Snapshot(_) => {
-                    entry_hash = entry.exit_hash;
-                    prev = Some(entry);
-                    i += 1;
-                }
-            }
-        }
+            self.cache.insert(key, result)
+        })
     }
 }
 
-impl<B: IntervalBackend> SimBackend for Memoized<B> {
+impl<B: SimBackend> SimBackend for Memoized<B> {
     fn name(&self) -> &'static str {
         "memoized"
     }
 
     fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        self.run_cached(program, core, mem, false).0
+        self.run_cached(program, core, mem, false).0.clone()
     }
 
     fn run_traced(
@@ -492,8 +382,9 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
         core: &CoreParams,
         mem: &MemParams,
     ) -> (SimStats, Counters) {
-        let (stats, counters) = self.run_cached(program, core, mem, true);
-        (stats, *counters.expect("metrics chain stores counters"))
+        let hit = self.run_cached(program, core, mem, true);
+        let counters = hit.1.clone().expect("metrics runs store counters");
+        (hit.0.clone(), counters)
     }
 
     fn reuse_stats(&self) -> Option<ReuseStats> {
@@ -824,70 +715,15 @@ mod tests {
         assert_eq!(warm_counters, want_counters);
         let rs = mem.cache_stats();
         assert!(rs.hits > 0, "warm metrics pass must hit");
-        // The plain (non-metrics) chain is disjoint: running it now
-        // must miss even though the metrics chain is warm.
+        // The plain (non-metrics) entry is disjoint: running it now
+        // must miss even though the metrics entry is warm.
         let before = mem.cache_stats().misses;
         assert_eq!(mem.run(&p, &c, &m), want_stats);
         assert!(mem.cache_stats().misses > before);
     }
 
     #[test]
-    fn memoized_heals_a_partially_evicted_chain_via_restore() {
-        let (p, c, m) = fixture(App::Stream);
-        let interval = 64;
-        let mem = Memoized::with_interval_len(Idealized, interval);
-        let want = Idealized.run(&p, &c, &m);
-        assert_eq!(mem.run(&p, &c, &m), want);
-        // Walk the key chain exactly as run_cached does and collect the
-        // keys of every cached interval.
-        let base = base_key(&p, &c, &m, interval, false);
-        let mut keys = Vec::new();
-        let mut entry_hash = base;
-        let mut i = 0u64;
-        loop {
-            let key = interval_key(base, i, entry_hash);
-            let entry = mem.cache.get(&key).expect("cold run cached the chain");
-            keys.push(key);
-            match &entry.payload {
-                IntervalPayload::Terminal { .. } => break,
-                IntervalPayload::Snapshot(_) => {
-                    entry_hash = entry.exit_hash;
-                    i += 1;
-                }
-            }
-        }
-        assert!(keys.len() > 3, "fixture too short to exercise the chain");
-        // Evict the tail: keep the first half, drop the rest. The warm
-        // run must hit the surviving prefix, restore a machine from the
-        // last surviving snapshot, and re-simulate the tail.
-        let keep = keys.len() / 2;
-        for k in &keys[keep..] {
-            mem.cache.remove(k);
-        }
-        let before = mem.cache_stats();
-        assert_eq!(mem.run(&p, &c, &m), want, "healed run must stay exact");
-        let after = mem.cache_stats();
-        assert_eq!(
-            (after.hits - before.hits) as usize,
-            keep,
-            "surviving prefix must hit"
-        );
-        assert_eq!(
-            (after.misses - before.misses) as usize,
-            keys.len() - keep,
-            "evicted tail must re-simulate"
-        );
-        // The re-simulated tail rejoined the same chain: the keys are
-        // all present again and a further run is pure hits.
-        let before = mem.cache_stats();
-        assert_eq!(mem.run(&p, &c, &m), want);
-        let after = mem.cache_stats();
-        assert_eq!((after.hits - before.hits) as usize, keys.len());
-        assert_eq!(after.misses, before.misses);
-    }
-
-    #[test]
-    fn irrelevant_params_share_the_chain_and_relevant_ones_split_it() {
+    fn irrelevant_params_share_the_entry_and_relevant_ones_split_it() {
         let (p, c, m) = fixture(App::MiniSweep);
         // MiniSweep's scalar sweep allocates FP, GP, and condition-flag
         // destinations and touches memory, but never writes a predicate
@@ -895,18 +731,18 @@ mod tests {
         // l1_size_kib stay in.
         let rel = ParamRelevance::of(&p);
         assert!(rel.fp && rel.cond && rel.mem && !rel.pred);
-        let base = base_key(&p, &c, &m, 64, false);
+        let base = base_key(&p, &c, &m, false);
         let mut c2 = c;
         c2.pred_regs *= 2;
-        assert_eq!(base_key(&p, &c2, &m, 64, false), base);
+        assert_eq!(base_key(&p, &c2, &m, false), base);
         let mut c3 = c;
         c3.rob_size += 4;
-        assert_ne!(base_key(&p, &c3, &m, 64, false), base);
+        assert_ne!(base_key(&p, &c3, &m, false), base);
         let mut m2 = m;
         m2.l1_size_kib *= 2;
-        assert_ne!(base_key(&p, &c, &m2, 64, false), base);
-        // And the shared chain is observable: a run at c2 on a warm
-        // cache is pure hits.
+        assert_ne!(base_key(&p, &c, &m2, false), base);
+        // And the shared entry is observable: a run at c2 on a warm
+        // memo is a hit.
         let mem_b = Memoized::with_interval_len(Idealized, 64);
         let want = mem_b.run(&p, &c, &m);
         let before = mem_b.cache_stats().misses;
@@ -914,8 +750,23 @@ mod tests {
         assert_eq!(
             mem_b.cache_stats().misses,
             before,
-            "c2 must reuse c's chain"
+            "c2 must reuse c's entry"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "core parameters must validate")]
+    fn invalid_params_panic_even_on_a_warm_memo() {
+        let (p, c, m) = fixture(App::MiniSweep);
+        let mem = Memoized::new(Idealized);
+        mem.run(&p, &c, &m);
+        // pred_regs is sliced out of MiniSweep's key, so this invalid
+        // design point shares c's warm entry; it must still be refused.
+        let mut bad = c;
+        bad.pred_regs = 16;
+        assert!(bad.validate().is_err());
+        assert_eq!(base_key(&p, &bad, &m, false), base_key(&p, &c, &m, false));
+        mem.run(&p, &bad, &m);
     }
 
     #[test]
@@ -1038,16 +889,31 @@ mod tests {
     #[test]
     fn interval_keys_chain_deterministically() {
         let (p, c, m) = fixture(App::Stream);
-        let b1 = base_key(&p, &c, &m, 64, false);
-        assert_eq!(b1, base_key(&p, &c, &m, 64, false));
-        assert_ne!(b1, base_key(&p, &c, &m, 128, false), "interval length keys");
-        assert_ne!(b1, base_key(&p, &c, &m, 64, true), "metrics flag keys");
+        let b1 = base_key(&p, &c, &m, false);
+        assert_eq!(b1, base_key(&p, &c, &m, false));
+        assert_ne!(b1, base_key(&p, &c, &m, true), "metrics flag keys");
         let (p2, ..) = fixture(App::MiniBude);
-        assert_ne!(b1, base_key(&p2, &c, &m, 64, false), "program keys");
-        assert_ne!(
-            interval_key(b1, 0, b1),
-            interval_key(b1, 1, b1),
-            "interval index keys"
-        );
+        assert_ne!(b1, base_key(&p2, &c, &m, false), "program keys");
+    }
+
+    #[test]
+    fn memoized_stores_one_entry_per_job() {
+        let mem = Memoized::new(Idealized);
+        let jobs: Vec<_> = [App::Stream, App::TeaLeaf, App::MiniSweep]
+            .into_iter()
+            .map(|app| fixture_scaled(app, WorkloadScale::Small))
+            .collect();
+        for (p, c, m) in &jobs {
+            mem.run(p, c, m);
+        }
+        let n = jobs.len() as u64;
+        let cold = mem.cache_stats();
+        assert_eq!(cold.insertions, n, "one memo entry per distinct job");
+        for (p, c, m) in &jobs {
+            mem.run(p, c, m);
+        }
+        let warm = mem.cache_stats();
+        assert_eq!(warm.hits - cold.hits, n, "every repeated job hits");
+        assert_eq!(warm.insertions, n, "repeats insert nothing");
     }
 }

@@ -40,13 +40,13 @@ fn differential_fuzz_campaign_is_clean() {
 }
 
 /// Reuse lane: the same fixed-seed program population, every program
-/// forced through the interval-memoizing backend. `check_kernel`
-/// cross-checks the backend's cached entry points (`run`,
+/// forced through the job-memoizing backend. `check_kernel`
+/// cross-checks the backend's memoized entry points (`run`,
 /// `run_with_metrics`) against its own uncached trace (`run_traced`)
-/// and the reference interpreter, so any interval-fingerprint collision
-/// or snapshot-restore unsoundness surfaces as a divergence. A short
-/// interval length maximises the number of interval boundaries (and
-/// therefore snapshot/restore transitions) each program crosses.
+/// and the reference interpreter, so any memo-key collision (two
+/// distinct jobs sharing one stored result) surfaces as a divergence.
+/// The interval length is a recorded tier tag and does not affect the
+/// memo.
 #[test]
 fn differential_fuzz_reuse_lane_is_clean() {
     let cfg = campaign_config();

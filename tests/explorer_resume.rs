@@ -4,13 +4,15 @@
 //! produce byte-identical artifacts (dataset CSV, curve CSV, curve
 //! JSON) and the same selected design-point sequence as an
 //! uninterrupted run — at 1, 2 and 8 threads, and across them (thread
-//! count must never leak into the artifacts).
+//! count must never leak into the artifacts) — and on every non-default
+//! engine (memoized, sampled, 2-core machine).
 
 use armdse_core::engine::Engine;
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_mltree::ForestParams;
+use armdse_simcore::{DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP};
 use std::path::{Path, PathBuf};
 
 fn opts(threads: usize) -> ExploreOptions {
@@ -44,70 +46,114 @@ fn artifact_bytes(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name} in {dir:?}: {e}"))
 }
 
+const ARTIFACTS: [&str; 3] = [
+    "explore_dataset.csv",
+    "explore_curve.csv",
+    "explore_curve.json",
+];
+
+/// A fresh engine of one table row, built anew for every run as a new
+/// process would.
+fn engine_for(name: &str) -> Engine {
+    match name {
+        "idealized" => Engine::idealized(),
+        "memoized" => Engine::memoized(DEFAULT_INTERVAL_LEN),
+        "sampled" => Engine::sampled(DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP),
+        "cores2" => Engine::multicore(2, 4),
+        _ => unreachable!("unknown engine row {name}"),
+    }
+}
+
 #[test]
 fn paused_exploration_resumes_to_byte_identical_artifacts() {
-    for threads in [1usize, 2, 8] {
-        let engine = Engine::idealized();
-        let space = ParamSpace::paper();
+    let space = ParamSpace::paper();
+    // Full-fidelity artifacts at 2 threads, which the memoized row must
+    // reproduce byte-for-byte.
+    let mut full_t2: Option<Vec<Vec<u8>>> = None;
+    for (name, threads) in [
+        ("idealized", 1usize),
+        ("idealized", 2),
+        ("idealized", 8),
+        ("memoized", 2),
+        ("sampled", 2),
+        ("cores2", 2),
+    ] {
+        let row = format!("{name} threads={threads}");
 
-        // Uninterrupted reference run.
-        let ref_dir = fresh_dir(&format!("ref_t{threads}"));
-        let reference = Explorer::new(&engine, &space, opts(threads), &ref_dir)
+        // Uninterrupted reference run: a fresh run completes.
+        let ref_dir = fresh_dir(&format!("ref_{name}_t{threads}"));
+        let reference = Explorer::new(&engine_for(name), &space, opts(threads), &ref_dir)
             .unwrap()
             .run(ExploreControl::default())
-            .unwrap();
-        assert!(reference.completed);
-        assert_eq!(reference.samples, 12, "tiny stream runs all validate");
-        assert_eq!(reference.rounds_done, 3);
+            .unwrap_or_else(|e| panic!("{row}: fresh run failed: {e}"));
+        assert!(reference.completed, "{row}");
+        assert_eq!(
+            reference.samples, 12,
+            "{row}: tiny stream runs all validate"
+        );
+        assert_eq!(reference.rounds_done, 3, "{row}");
 
         // Paused run: stop mid-round-1 (after 2 of its 4 jobs), resume.
-        let dir = fresh_dir(&format!("paused_t{threads}"));
-        let ex = Explorer::new(&engine, &space, opts(threads), &dir).unwrap();
+        let dir = fresh_dir(&format!("paused_{name}_t{threads}"));
         let mut pause = |p: &ExploreProgress| !(p.round == 1 && p.jobs_done >= 2);
-        let first = ex
+        let first = Explorer::new(&engine_for(name), &space, opts(threads), &dir)
+            .unwrap()
             .run(ExploreControl {
                 resume: false,
                 observer: Some(&mut pause),
             })
             .unwrap();
-        assert!(!first.completed, "observer must have paused the run");
-        assert_eq!(first.rounds_done, 1, "round 0 finished, round 1 paused");
+        assert!(!first.completed, "{row}: observer must have paused the run");
+        assert_eq!(
+            first.rounds_done, 1,
+            "{row}: round 0 finished, round 1 paused"
+        );
 
-        let resumed = ex
+        let resumed = Explorer::new(&engine_for(name), &space, opts(threads), &dir)
+            .unwrap()
             .run(ExploreControl {
                 resume: true,
                 observer: None,
             })
-            .unwrap();
-        assert!(resumed.completed);
+            .unwrap_or_else(|e| panic!("{row}: resume failed: {e}"));
+        assert!(resumed.completed, "{row}");
 
         assert_eq!(
             resumed.selected, reference.selected,
-            "threads={threads}: resumed run selected a different design-point sequence"
+            "{row}: resumed run selected a different design-point sequence"
         );
-        assert_eq!(resumed.curve, reference.curve);
-        for artifact in [
-            "explore_dataset.csv",
-            "explore_curve.csv",
-            "explore_curve.json",
-        ] {
+        assert_eq!(resumed.curve, reference.curve, "{row}");
+        for artifact in ARTIFACTS {
             assert_eq!(
                 artifact_bytes(&dir, artifact),
                 artifact_bytes(&ref_dir, artifact),
-                "threads={threads}: {artifact} differs after pause+resume"
+                "{row}: {artifact} differs after pause+resume"
             );
+        }
+        let artifacts: Vec<Vec<u8>> = ARTIFACTS
+            .iter()
+            .map(|a| artifact_bytes(&ref_dir, a))
+            .collect();
+        match (name, threads) {
+            ("idealized", 2) => full_t2 = Some(artifacts),
+            ("memoized", _) => assert!(
+                Some(&artifacts) == full_t2.as_ref(),
+                "memoized artifacts differ from full fidelity"
+            ),
+            _ => {}
         }
 
         // Resuming a completed exploration is a no-op with the same report.
-        let again = ex
+        let again = Explorer::new(&engine_for(name), &space, opts(threads), &dir)
+            .unwrap()
             .run(ExploreControl {
                 resume: true,
                 observer: None,
             })
             .unwrap();
-        assert!(again.completed);
-        assert_eq!(again.selected, reference.selected);
-        assert_eq!(again.curve, reference.curve);
+        assert!(again.completed, "{row}");
+        assert_eq!(again.selected, reference.selected, "{row}");
+        assert_eq!(again.curve, reference.curve, "{row}");
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&ref_dir).ok();

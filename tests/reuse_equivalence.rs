@@ -1,4 +1,4 @@
-//! Reuse-equivalence proof harness: the interval-memoizing backend must
+//! Reuse-equivalence proof harness: the job-memoizing backend must
 //! be **bit-identical** to the plain backend — statistics, metrics
 //! counters, and emitted dataset CSV bytes — in every cache state (cold,
 //! warm, and polluted by a different campaign) and at any thread count.
